@@ -1,72 +1,22 @@
 #include "core/runner.h"
 
-#include "obs/trace.h"
+#include "exec/executor.h"
 
 namespace objrep {
 
 Status RunWorkload(Strategy* strategy, ComplexDatabase* db,
                    const std::vector<Query>& queries, RunResult* out) {
   *out = RunResult{};
-  // Start the measurement window clean: buffer-pool hit/miss counters and
-  // cache statistics describe this sequence only, not the database build or
-  // any earlier run against the same pool.
-  db->pool->ResetStats();
-  if (db->cache != nullptr) db->cache->ResetStats();
-  IoCounters run_start = db->disk->counters();
-  IoTagBreakdown tags_start = db->disk->breakdown();
-
+  Executor exec(db);
+  RunWindow window(&exec);
   for (const Query& q : queries) {
     IoCounters before = db->disk->counters();
-    if (q.kind == Query::Kind::kRetrieve) {
-      TraceSpan span("retrieve", "query");
-      span.SetArg("num_top", q.num_top);
-      RetrieveResult result;
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteRetrieve(q, &result));
-      uint64_t io = (db->disk->counters() - before).total();
-      span.SetArg("io", io);
-      out->retrieve_io += io;
-      out->retrieve_cost += result.cost;
-      out->result_count += result.values.size();
-      for (int32_t v : result.values) out->result_sum += v;
-      ++out->num_retrieves;
-    } else {
-      TraceSpan span("update", "query");
-      span.SetArg("targets", q.update_targets.size());
-      // With a WAL attached the update query is one transaction: all its
-      // in-place writes (plus cache invalidations and deferred frees)
-      // commit together or not at all (DESIGN.md §10). Without one this
-      // is the seed's unprotected path.
-      if (db->pool->wal() != nullptr) {
-        OBJREP_RETURN_NOT_OK(db->pool->BeginTxn());
-        Status s = strategy->ExecuteUpdate(q);
-        if (s.ok()) {
-          s = db->pool->CommitTxn();
-        } else {
-          db->pool->AbortTxn();
-        }
-        OBJREP_RETURN_NOT_OK(s);
-      } else {
-        OBJREP_RETURN_NOT_OK(strategy->ExecuteUpdate(q));
-      }
-      out->update_io += (db->disk->counters() - before).total();
-      ++out->num_updates;
-    }
-    ++out->num_queries;
+    OBJREP_RETURN_NOT_OK(RunQuery(&exec, strategy, q, out));
+    uint64_t& io = q.kind == Query::Kind::kRetrieve ? out->retrieve_io
+                                                    : out->update_io;
+    io += (db->disk->counters() - before).total();
   }
-
-  // Deferred dirty pages (updates, cache inserts, temps) are part of the
-  // sequence's I/O bill: flush and charge them.
-  IoCounters before_flush = db->disk->counters();
-  {
-    TraceSpan span("flush", "query");
-    OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
-  }
-  out->flush_io = (db->disk->counters() - before_flush).total();
-  out->total_io = out->retrieve_io + out->update_io + out->flush_io;
-  out->io = db->disk->counters() - run_start;
-  out->io_by_tag = db->disk->breakdown() - tags_start;
-  if (db->cache != nullptr) out->cache_stats = db->cache->stats();
-  return Status::OK();
+  return window.Close(out);
 }
 
 }  // namespace objrep

@@ -20,13 +20,14 @@ struct RunResult {
   uint32_t num_retrieves = 0;
   uint32_t num_updates = 0;
 
-  uint64_t total_io = 0;     ///< includes the end-of-run flush
+  uint64_t total_io = 0;     ///< queries + end-of-run fold and flush
   uint64_t retrieve_io = 0;
   uint64_t update_io = 0;
-  uint64_t flush_io = 0;
+  uint64_t flush_io = 0;     ///< end of run: MVCC fold + dirty-page flush
 
-  /// Raw counter delta over the whole run (queries + flush). io.total()
-  /// == total_io; the seq/rand split feeds the driver's seq% column.
+  /// Raw counter delta over the whole run (queries + fold + flush).
+  /// io.total() == total_io; the seq/rand split feeds the driver's seq%
+  /// column.
   IoCounters io;
 
   /// Per-component attribution of the same window (DESIGN.md §11).
@@ -69,9 +70,12 @@ struct RunResult {
   }
 };
 
-/// Runs `queries` under `strategy` against the strategy's database.
-/// Resets the database cache statistics at the start; flushes dirty pages
-/// at the end (charged to total_io) so deferred writes are not lost.
+/// Runs `queries` under `strategy` against the strategy's database, one
+/// at a time through the query executor (exec/executor.h), so isolation,
+/// the WAL bracket and MVCC follow the database as in every other front
+/// end. Resets the pool and cache statistics at the start; at the end
+/// folds MVCC versions and flushes dirty pages (charged to flush_io and
+/// total_io) so deferred writes are not lost.
 Status RunWorkload(Strategy* strategy, ComplexDatabase* db,
                    const std::vector<Query>& queries, RunResult* out);
 

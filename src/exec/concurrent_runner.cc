@@ -5,13 +5,9 @@
 #include <cmath>
 #include <memory>
 
-#include "exec/lock_manager.h"
-#include "exec/query_locks.h"
-#include "exec/thread_pool.h"
-#include "mvcc/apply.h"
-#include "mvcc/engine.h"
-#include "obs/trace.h"
+#include "exec/executor.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace objrep {
 
@@ -27,62 +23,16 @@ double PercentileSorted(const std::vector<double>& sorted, double p) {
   return sorted[std::min(rank - 1, sorted.size() - 1)];
 }
 
-/// Per-worker execution state and tallies (owned by exactly one thread;
-/// aggregated by the caller after the join — no shared mutable state).
+/// Per-worker tallies (owned by exactly one thread; aggregated by the
+/// caller after the join — no shared mutable state).
 struct WorkerResult {
   Status status;
-  uint32_t num_queries = 0;
-  uint32_t num_retrieves = 0;
-  uint32_t num_updates = 0;
-  uint64_t result_count = 0;
-  int64_t result_sum = 0;
+  RunResult tally;
   std::vector<double> latencies_us;
   std::vector<double> retrieve_latencies_us;
 };
 
-Status ExecuteOne(Strategy* strategy, ComplexDatabase* db, const Query& q,
-                  WorkerResult* wr) {
-  if (q.kind == Query::Kind::kRetrieve) {
-    TraceSpan span("retrieve", "query");
-    span.SetArg("num_top", q.num_top);
-    RetrieveResult result;
-    if (db->mvcc != nullptr) {
-      OBJREP_RETURN_NOT_OK(mvcc::SnapshotRetrieve(strategy, db, q, &result));
-    } else {
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteRetrieve(q, &result));
-    }
-    wr->result_count += result.values.size();
-    for (int32_t v : result.values) wr->result_sum += v;
-    ++wr->num_retrieves;
-  } else {
-    TraceSpan span("update", "query");
-    span.SetArg("targets", q.update_targets.size());
-    // One WAL transaction per update query; the worker already holds X
-    // table locks, so wal_mu_ ranks below them (DESIGN.md §10 latch
-    // order) and cannot deadlock against another worker's query.
-    if (db->mvcc != nullptr) {
-      // MVCC commit: version install + logical WAL record; base pages
-      // stay frozen until the post-run fold.
-      OBJREP_RETURN_NOT_OK(mvcc::MvccUpdate(db, q));
-    } else if (db->pool->wal() != nullptr) {
-      OBJREP_RETURN_NOT_OK(db->pool->BeginTxn());
-      Status s = strategy->ExecuteUpdate(q);
-      if (s.ok()) {
-        s = db->pool->CommitTxn();
-      } else {
-        db->pool->AbortTxn();
-      }
-      OBJREP_RETURN_NOT_OK(s);
-    } else {
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteUpdate(q));
-    }
-    ++wr->num_updates;
-  }
-  ++wr->num_queries;
-  return Status::OK();
-}
-
-void RunWorker(Strategy* strategy, ComplexDatabase* db, LockManager* locks,
+void RunWorker(Executor* exec, Strategy* session,
                const std::vector<const Query*>& slice,
                const ConcurrentRunOptions& options, uint32_t worker_index,
                WorkerResult* wr) {
@@ -106,15 +56,7 @@ void RunWorker(Strategy* strategy, ComplexDatabase* db, LockManager* locks,
       q = slice[next++];
     }
     Clock::time_point t0 = Clock::now();
-    if (db->mvcc != nullptr) {
-      // Snapshot isolation replaces table locking entirely: retrieves
-      // read the frozen base + version overlay, updates conflict only on
-      // overlapping targets inside the version store.
-      wr->status = ExecuteOne(strategy, db, *q, wr);
-    } else {
-      ScopedLockSet held(locks, LockRequestsFor(*db, *q));
-      wr->status = ExecuteOne(strategy, db, *q, wr);
-    }
+    wr->status = RunQuery(exec, session, *q, &wr->tally);
     if (!wr->status.ok()) return;
     double us = std::chrono::duration<double, std::micro>(Clock::now() - t0)
                     .count();
@@ -152,11 +94,12 @@ Status RunConcurrentWorkload(StrategyKind kind,
   const uint32_t k = options.num_threads == 0 ? 1 : options.num_threads;
   out->num_threads = k;
 
-  // One session (strategy instance) per worker, all over the shared db.
-  std::vector<std::unique_ptr<Strategy>> sessions(k);
+  // One session (strategy instance) per worker, all over the shared db,
+  // checked out before the measurement window opens.
+  Executor exec(db, strategy_options);
+  std::vector<Executor::Lease> sessions(k);
   for (uint32_t w = 0; w < k; ++w) {
-    OBJREP_RETURN_NOT_OK(MakeStrategy(kind, db, strategy_options,
-                                      &sessions[w]));
+    OBJREP_RETURN_NOT_OK(exec.Checkout(kind, &sessions[w]));
   }
 
   // Round-robin partition: query i -> worker i mod K, order preserved.
@@ -165,13 +108,8 @@ Status RunConcurrentWorkload(StrategyKind kind,
     slices[i % k].push_back(&queries[i]);
   }
 
-  db->pool->ResetStats();
-  if (db->cache != nullptr) db->cache->ResetStats();
-  LockManager locks;
+  RunWindow window(&exec);
   std::vector<WorkerResult> results(k);
-  IoCounters io_start = db->disk->counters();
-  IoTagBreakdown tags_start = db->disk->breakdown();
-
   Clock::time_point wall0 = Clock::now();
   {
     ThreadPool pool(k);
@@ -179,7 +117,7 @@ Status RunConcurrentWorkload(StrategyKind kind,
     futures.reserve(k);
     for (uint32_t w = 0; w < k; ++w) {
       futures.push_back(pool.Submit([&, w] {
-        RunWorker(sessions[w].get(), db, &locks, slices[w], options, w,
+        RunWorker(&exec, sessions[w].get(), slices[w], options, w,
                   &results[w]);
       }));
     }
@@ -188,41 +126,27 @@ Status RunConcurrentWorkload(StrategyKind kind,
   out->wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
 
-  uint64_t run_io = (db->disk->counters() - io_start).total();
-
   RunResult& r = out->combined;
   std::vector<double> all_lat, ret_lat;
   for (WorkerResult& wr : results) {
     OBJREP_RETURN_NOT_OK(wr.status);
-    r.num_queries += wr.num_queries;
-    r.num_retrieves += wr.num_retrieves;
-    r.num_updates += wr.num_updates;
-    r.result_count += wr.result_count;
-    r.result_sum += wr.result_sum;
+    r.num_queries += wr.tally.num_queries;
+    r.num_retrieves += wr.tally.num_retrieves;
+    r.num_updates += wr.tally.num_updates;
+    r.result_count += wr.tally.result_count;
+    r.result_sum += wr.tally.result_sum;
+    r.retrieve_cost += wr.tally.retrieve_cost;
     all_lat.insert(all_lat.end(), wr.latencies_us.begin(),
                    wr.latencies_us.end());
     ret_lat.insert(ret_lat.end(), wr.retrieve_latencies_us.begin(),
                    wr.retrieve_latencies_us.end());
   }
 
-  // Quiescent point: every worker has joined, so fold the committed
-  // versions onto base pages. After this a plain scan (and the flush
-  // below) observes every committed update. Skipped on worker error —
-  // the aggregation loop above already returned, and after a crash the
-  // pool needs recovery before it can run the fold's transaction.
-  if (db->mvcc != nullptr) {
-    OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(db));
-  }
-
-  // Deferred dirty pages are part of the run's I/O bill, as in the
-  // sequential runner.
-  IoCounters before_flush = db->disk->counters();
-  OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
-  r.flush_io = (db->disk->counters() - before_flush).total();
-  r.total_io = run_io + r.flush_io;
-  r.io = db->disk->counters() - io_start;
-  r.io_by_tag = db->disk->breakdown() - tags_start;
-  if (db->cache != nullptr) r.cache_stats = db->cache->stats();
+  // Quiescent point: every worker has joined, so the window's close folds
+  // and flushes. Skipped on worker error — the aggregation loop above
+  // already returned, and after a crash the pool needs recovery before it
+  // can run the fold's transaction.
+  OBJREP_RETURN_NOT_OK(window.Close(&r));
 
   out->queries_per_sec =
       out->wall_seconds > 0

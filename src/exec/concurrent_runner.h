@@ -1,5 +1,5 @@
 // Multi-client workload runner: one shared ComplexDatabase, K worker
-// sessions, table-level 2PL, race-free result aggregation.
+// sessions over one query executor, race-free result aggregation.
 //
 // The paper measures a single query stream; this engine is the step the
 // ROADMAP asks for — retrieves and updates racing against one database,
@@ -59,9 +59,9 @@ struct ConcurrentRunResult {
   uint32_t num_threads = 1;
 
   /// Aggregated counters across workers. Per-query I/O attribution
-  /// (retrieve_io/update_io/retrieve_cost) is meaningless when streams
-  /// interleave on shared counters, so those fields stay zero; total_io
-  /// and flush_io are exact for the whole run.
+  /// (retrieve_io/update_io) is meaningless when streams interleave on
+  /// shared counters, so those fields stay zero; total_io (queries + MVCC
+  /// fold + flush) and flush_io are exact for the whole run.
   RunResult combined;
 
   double wall_seconds = 0;       ///< worker phase only (excludes flush)
@@ -73,11 +73,11 @@ struct ConcurrentRunResult {
 };
 
 /// Runs `queries` under `kind` with `options.num_threads` worker sessions
-/// sharing `db`. Each worker gets its own Strategy instance; queries take
-/// table-level locks (retrieve: S on every child relation it may read,
-/// plus ClusterRel; update: X on the target relations, plus ClusterRel).
-/// Flushes dirty pages at the end, charged to combined.total_io, exactly
-/// like the sequential RunWorkload.
+/// sharing `db`. Each worker gets its own Strategy instance and runs its
+/// queries through one shared query executor (exec/executor.h) with the
+/// same per-query body as the sequential RunWorkload: table-level 2PL, or
+/// snapshot isolation when db->mvcc is set. Folds and flushes at the end,
+/// charged to combined.total_io, exactly like RunWorkload.
 Status RunConcurrentWorkload(StrategyKind kind,
                              const StrategyOptions& strategy_options,
                              ComplexDatabase* db,

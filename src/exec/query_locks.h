@@ -1,5 +1,5 @@
-// Table-lock footprint of one query, shared by every execution front end
-// (the in-process ConcurrentRunner and the network service): retrieves
+// Table-lock footprint of one query under 2PL, taken by the query executor
+// (exec/executor.h) — the one place every front end runs queries: retrieves
 // hold S on every relation their strategy may read subobjects from (all
 // child relations, plus ClusterRel when built); updates hold X on the
 // relations containing their targets (plus ClusterRel, where clustering

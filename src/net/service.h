@@ -1,28 +1,23 @@
 // Request execution behind the wire boundary (DESIGN.md §13).
 //
-// ObjService owns everything a request needs besides the socket: the
-// shared ComplexDatabase, the table-level LockManager (same 2PL
-// discipline as the in-process ConcurrentRunner), and a pool of reusable
-// strategy *sessions*. A session is one Strategy instance; strategies are
-// stateful (DFSCACHE holds I-locks, ADAPTIVE carries calibration state),
-// so sessions are checked out for exactly one request and returned —
-// never shared between concurrent requests. Pooling instead of
-// per-request construction matters for ADAPTIVE: its calibrator keeps
-// learning across the requests it serves, the same way a ConcurrentRunner
-// worker's session learns across its slice.
+// ObjService turns a decoded request into a Query: it validates the
+// request against the store's shape, installs the per-request profile
+// collector, and hands the query to the query executor (exec/executor.h)
+// of the single database, or to the scatter-gather ShardedEngine (one
+// executor per shard). Isolation, WAL transactions, trace spans, heat
+// touches and the pool of strategy sessions all live in the executor, so
+// a served query is executed and billed exactly like one from the
+// in-process runners.
 //
 // Execute() is thread-safe and is called from the server's worker pool;
 // it is also usable without any server at all (tests drive it directly).
 #ifndef OBJREP_NET_SERVICE_H_
 #define OBJREP_NET_SERVICE_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "core/strategy.h"
-#include "exec/lock_manager.h"
+#include "exec/executor.h"
 #include "net/protocol.h"
 #include "objstore/database.h"
 #include "shard/engine.h"
@@ -38,10 +33,9 @@ class ObjService {
              StrategyOptions options);
 
   /// Sharded backend: requests execute through the scatter-gather engine
-  /// instead of a single database. The engine owns per-shard locks, WAL
-  /// transactions, and strategy sessions, so this service keeps no lock
-  /// manager or session pool of its own. `engine` must outlive the
-  /// service.
+  /// instead of a single database. `engine` must outlive the service; its
+  /// shard executors build sessions with the engine's own options, so
+  /// `options` is not used.
   ObjService(shard::ShardedEngine* engine, StrategyKind default_strategy,
              StrategyOptions options);
 
@@ -56,32 +50,19 @@ class ObjService {
 
   StrategyKind default_strategy() const { return default_strategy_; }
 
- private:
-  /// A pooled session, returned to the free list on destruction.
-  struct SessionLease {
-    ObjService* service = nullptr;
-    StrategyKind kind{};
-    std::unique_ptr<Strategy> strategy;
-    ~SessionLease();
-  };
+  /// The single database's executor; null for the sharded backend.
+  Executor* executor() { return exec_.get(); }
 
-  Status Checkout(StrategyKind kind, SessionLease* lease);
-  Status DoRetrieve(const Request& req, StrategyKind kind, Strategy* session,
-                    Response* resp);
-  Status DoUpdate(const Request& req, StrategyKind kind, Strategy* session,
-                  Response* resp);
+ private:
+  Status DoRetrieve(const Request& req, StrategyKind kind, Response* resp);
+  Status DoUpdate(const Request& req, StrategyKind kind, Response* resp);
   const DatabaseSpec& spec() const {
-    return db_ != nullptr ? db_->spec : engine_->spec();
+    return exec_ != nullptr ? exec_->db()->spec : engine_->spec();
   }
 
-  ComplexDatabase* const db_;  // null when fronting a sharded engine
-  shard::ShardedEngine* const engine_;  // null for the single-db backend
+  const std::unique_ptr<Executor> exec_;  // null for the sharded backend
+  shard::ShardedEngine* const engine_;    // null for the single-db backend
   const StrategyKind default_strategy_;
-  const StrategyOptions options_;
-  LockManager locks_;
-
-  std::mutex sessions_mu_;
-  std::map<StrategyKind, std::vector<std::unique_ptr<Strategy>>> idle_;
 };
 
 }  // namespace net

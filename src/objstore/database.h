@@ -36,8 +36,9 @@ struct ComplexDatabase {
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<Wal> wal;  // null unless spec.enable_wal
   /// Version store for snapshot reads (DESIGN.md §15); null unless
-  /// spec.enable_mvcc. When set, executors bypass table locking: retrieves
-  /// run under mvcc::SnapshotRetrieve and updates under mvcc::MvccUpdate.
+  /// spec.enable_mvcc. When set, the query executor (exec/executor.h)
+  /// bypasses table locking: retrieves run under mvcc::SnapshotRetrieve
+  /// and updates under mvcc::MvccUpdate.
   std::unique_ptr<MvccManager> mvcc;
   Catalog catalog;
 

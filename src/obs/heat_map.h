@@ -48,8 +48,11 @@ class HeatMap {
   /// One process-wide tracker, like the metrics registry.
   static HeatMap& Global();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) {
+  /// One process-wide switch, like the tracker itself. It is static so
+  /// that hot paths can test it without constructing Global(): a process
+  /// that never enables the heat map never allocates its slot arrays.
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
+  static void SetEnabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
@@ -111,7 +114,7 @@ class HeatMap {
   double ParentHeatLocked(size_t slot) const;
   double RelHeatLocked(size_t slot) const;
 
-  std::atomic<bool> enabled_{false};
+  inline static std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> touches_{0};
   std::atomic<uint64_t> decays_{0};
 

@@ -4,9 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "exec/query_locks.h"
 #include "mvcc/apply.h"
-#include "mvcc/engine.h"
 #include "obs/io_context.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -18,53 +16,18 @@ namespace shard {
 ShardedEngine::ShardedEngine(ShardedDatabase* db, StrategyOptions options)
     : db_(db), options_(options) {
   const uint32_t n = db_->num_shards();
-  locks_.reserve(n);
+  shards_.reserve(n);
   retrieve_subqueries_.reserve(n);
   update_subqueries_.reserve(n);
   MetricsRegistry& reg = MetricsRegistry::Global();
   for (uint32_t k = 0; k < n; ++k) {
-    locks_.push_back(std::make_unique<LockManager>());
+    shards_.push_back(
+        std::make_unique<Executor>(db_->shards[k].get(), options_));
     std::string prefix = "shard." + std::to_string(k) + ".";
     retrieve_subqueries_.push_back(
         reg.GetCounter(prefix + "retrieve_subqueries"));
     update_subqueries_.push_back(reg.GetCounter(prefix + "update_subqueries"));
   }
-}
-
-ShardedEngine::Lease::~Lease() {
-  if (engine_ != nullptr && session_ != nullptr) {
-    engine_->Return(kind_, std::move(session_));
-  }
-}
-
-Status ShardedEngine::Checkout(StrategyKind kind, Lease* out) {
-  std::unique_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> guard(sessions_mu_);
-    std::vector<std::unique_ptr<Session>>& pool = idle_[kind];
-    if (!pool.empty()) {
-      session = std::move(pool.back());
-      pool.pop_back();
-    }
-  }
-  if (session == nullptr) {
-    // Built outside the mutex: MakeStrategy may allocate per-strategy
-    // state (temp budgets, adaptive stats) and must not serialize peers.
-    session = std::make_unique<Session>();
-    session->per_shard.resize(db_->num_shards());
-    for (uint32_t k = 0; k < db_->num_shards(); ++k) {
-      OBJREP_RETURN_NOT_OK(MakeStrategy(kind, db_->shards[k].get(), options_,
-                                        &session->per_shard[k]));
-    }
-  }
-  *out = Lease(this, kind, std::move(session));
-  return Status::OK();
-}
-
-void ShardedEngine::Return(StrategyKind kind,
-                           std::unique_ptr<Session> session) {
-  std::lock_guard<std::mutex> guard(sessions_mu_);
-  idle_[kind].push_back(std::move(session));
 }
 
 bool ShardedEngine::IsPointwise(StrategyKind kind, const Query& q) const {
@@ -95,9 +58,10 @@ bool ShardedEngine::IsSortedMerge(StrategyKind kind) {
   }
 }
 
-Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
+Status ShardedEngine::RunShardRetrieve(StrategyKind kind, uint32_t k,
                                        const Query& q, RetrieveResult* out) {
-  ComplexDatabase* sdb = db_->shards[k].get();
+  Executor::Lease session;
+  OBJREP_RETURN_NOT_OK(shards_[k]->Checkout(kind, &session));
   retrieve_subqueries_[k]->Add(1);
   // Sub-queries run sequentially on the calling thread, so the
   // thread-local per-tag I/O delta across this bracket is exactly this
@@ -112,15 +76,7 @@ Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
   }
   TraceSpan span("shard_retrieve", "shard");
   span.SetArg("shard", k);
-  if (sdb->mvcc != nullptr) {
-    // Snapshot per shard sub-query: the shard's base pages are frozen
-    // while MVCC is active, so no lock manager interaction is needed.
-    OBJREP_RETURN_NOT_OK(
-        mvcc::SnapshotRetrieve(session->per_shard[k].get(), sdb, q, out));
-  } else {
-    ScopedLockSet locks(locks_[k].get(), LockRequestsFor(*sdb, q));
-    OBJREP_RETURN_NOT_OK(session->per_shard[k]->ExecuteRetrieve(q, out));
-  }
+  OBJREP_RETURN_NOT_OK(shards_[k]->RunRetrieve(session.get(), q, out));
   if (collector != nullptr) {
     collector->AddShard(k, Trace::NowMicros() - t0,
                         CurrentThreadIoTags() - io_before);
@@ -131,7 +87,7 @@ Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
   return Status::OK();
 }
 
-Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
+Status ShardedEngine::RetrievePointwise(StrategyKind kind, const Query& q,
                                         RetrieveResult* out) {
   const uint64_t end = static_cast<uint64_t>(q.lo_parent) + q.num_top;
   uint64_t p = q.lo_parent;
@@ -146,7 +102,7 @@ Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
     sub.lo_parent = static_cast<uint32_t>(p);
     sub.num_top = static_cast<uint32_t>(run_end - p);
     RetrieveResult part;
-    OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, sub, &part));
+    OBJREP_RETURN_NOT_OK(RunShardRetrieve(kind, k, sub, &part));
     out->values.insert(out->values.end(), part.values.begin(),
                        part.values.end());
     out->oids.insert(out->oids.end(), part.oids.begin(), part.oids.end());
@@ -156,12 +112,12 @@ Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
   return Status::OK();
 }
 
-Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
+Status ShardedEngine::RetrieveMerge(StrategyKind kind, const Query& q,
                                     bool dedup, RetrieveResult* out) {
   const uint32_t n = db_->num_shards();
   std::vector<RetrieveResult> parts(n);
   for (uint32_t k = 0; k < n; ++k) {
-    OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &parts[k]));
+    OBJREP_RETURN_NOT_OK(RunShardRetrieve(kind, k, q, &parts[k]));
     out->cost += parts[k].cost;
   }
   // K-way merge by packed OID. Every per-shard BFS-family stream is
@@ -194,11 +150,11 @@ Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
   return Status::OK();
 }
 
-Status ShardedEngine::RetrieveConcat(Session* session, const Query& q,
+Status ShardedEngine::RetrieveConcat(StrategyKind kind, const Query& q,
                                      RetrieveResult* out) {
   for (uint32_t k = 0; k < db_->num_shards(); ++k) {
     RetrieveResult part;
-    OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &part));
+    OBJREP_RETURN_NOT_OK(RunShardRetrieve(kind, k, q, &part));
     out->values.insert(out->values.end(), part.values.begin(),
                        part.values.end());
     out->oids.insert(out->oids.end(), part.oids.begin(), part.oids.end());
@@ -209,21 +165,50 @@ Status ShardedEngine::RetrieveConcat(Session* session, const Query& q,
 
 Status ShardedEngine::ExecuteRetrieve(StrategyKind kind, const Query& q,
                                       RetrieveResult* out) {
-  Lease lease;
-  OBJREP_RETURN_NOT_OK(Checkout(kind, &lease));
+  QueryScope scope(q);
   if (IsPointwise(kind, q)) {
-    return RetrievePointwise(lease.session(), q, out);
+    OBJREP_RETURN_NOT_OK(RetrievePointwise(kind, q, out));
+  } else if (IsSortedMerge(kind)) {
+    OBJREP_RETURN_NOT_OK(RetrieveMerge(
+        kind, q, /*dedup=*/kind == StrategyKind::kBfsNoDup, out));
+  } else {
+    OBJREP_RETURN_NOT_OK(RetrieveConcat(kind, q, out));
   }
-  if (IsSortedMerge(kind)) {
-    return RetrieveMerge(lease.session(), q,
-                         /*dedup=*/kind == StrategyKind::kBfsNoDup, out);
-  }
-  return RetrieveConcat(lease.session(), q, out);
+  scope.Done(out);
+  return Status::OK();
 }
 
 Status ShardedEngine::ExecuteUpdate(StrategyKind kind, const Query& q) {
-  Lease lease;
-  OBJREP_RETURN_NOT_OK(Checkout(kind, &lease));
+  QueryScope scope(q);
+  if (db_->shards[0]->mvcc == nullptr) {
+    OBJREP_RETURN_NOT_OK(UpdateHolders(kind, q));
+    scope.Done(nullptr);
+    return Status::OK();
+  }
+  // Hold the stripes of every target across the whole fan-out, acquired
+  // in ascending stripe index so concurrent updates cannot deadlock. This
+  // serializes conflicting updates engine-wide, which makes every holder
+  // shard install their versions in the same relative order — the
+  // replica-convergence guarantee FCW alone cannot give across
+  // independent per-shard clocks.
+  std::vector<size_t> stripes;
+  stripes.reserve(q.update_targets.size());
+  for (const Oid& oid : q.update_targets) {
+    stripes.push_back(oid.Packed() % oid_stripes_.size());
+  }
+  std::sort(stripes.begin(), stripes.end());
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(stripes.size());
+  for (size_t s : stripes) {
+    held.emplace_back(oid_stripes_[s]);
+  }
+  OBJREP_RETURN_NOT_OK(UpdateHolders(kind, q));
+  scope.Done(nullptr);
+  return Status::OK();
+}
+
+Status ShardedEngine::UpdateHolders(StrategyKind kind, const Query& q) {
   const uint32_t n = db_->num_shards();
   std::vector<std::vector<Oid>> targets_of(n);
   for (const Oid& oid : q.update_targets) {
@@ -236,64 +221,21 @@ Status ShardedEngine::ExecuteUpdate(StrategyKind kind, const Query& q) {
       targets_of[k].push_back(oid);
     }
   }
-  if (db_->shards[0]->mvcc != nullptr) {
-    // Hold the stripes of every target across the whole fan-out, acquired
-    // in ascending stripe index so concurrent updates cannot deadlock.
-    // This serializes conflicting updates engine-wide, which makes every
-    // holder shard install their versions in the same relative order —
-    // the replica-convergence guarantee FCW alone cannot give across
-    // independent per-shard clocks.
-    std::vector<size_t> stripes;
-    stripes.reserve(q.update_targets.size());
-    for (const Oid& oid : q.update_targets) {
-      stripes.push_back(oid.Packed() % oid_stripes_.size());
-    }
-    std::sort(stripes.begin(), stripes.end());
-    stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-    std::vector<std::unique_lock<std::mutex>> held;
-    held.reserve(stripes.size());
-    for (size_t s : stripes) {
-      held.emplace_back(oid_stripes_[s]);
-    }
-    for (uint32_t k = 0; k < n; ++k) {
-      if (targets_of[k].empty()) continue;
-      Query sub = q;
-      sub.update_targets = std::move(targets_of[k]);
-      update_subqueries_[k]->Add(1);
-      OBJREP_RETURN_NOT_OK(mvcc::MvccUpdate(db_->shards[k].get(), sub));
-    }
-    return Status::OK();
-  }
   for (uint32_t k = 0; k < n; ++k) {
     if (targets_of[k].empty()) continue;
     Query sub = q;
     sub.update_targets = std::move(targets_of[k]);
-    ComplexDatabase* sdb = db_->shards[k].get();
-    ScopedLockSet locks(locks_[k].get(), LockRequestsFor(*sdb, sub));
+    Executor::Lease session;
+    OBJREP_RETURN_NOT_OK(shards_[k]->Checkout(kind, &session));
     update_subqueries_[k]->Add(1);
-    const bool txn = sdb->pool->wal() != nullptr;
-    if (txn) {
-      OBJREP_RETURN_NOT_OK(sdb->pool->BeginTxn());
-    }
-    Status st = lease.session()->per_shard[k]->ExecuteUpdate(sub);
-    if (txn) {
-      if (st.ok()) {
-        st = sdb->pool->CommitTxn();
-      } else {
-        sdb->pool->AbortTxn();
-      }
-    }
-    OBJREP_RETURN_NOT_OK(st);
+    OBJREP_RETURN_NOT_OK(shards_[k]->RunUpdate(session.get(), sub));
   }
   return Status::OK();
 }
 
 Status ShardedEngine::FoldAll() {
-  for (uint32_t k = 0; k < db_->num_shards(); ++k) {
-    ComplexDatabase* sdb = db_->shards[k].get();
-    if (sdb->mvcc != nullptr) {
-      OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(sdb));
-    }
+  for (const std::unique_ptr<ComplexDatabase>& sdb : db_->shards) {
+    OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(sdb.get()));
   }
   return Status::OK();
 }

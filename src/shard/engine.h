@@ -17,14 +17,18 @@
 //     output order is cache-state-dependent even on one engine, so only
 //     the result multiset is defined.
 //
-// Each shard has its own LockManager (the scale-out lever: an update
-// X-locks only its holder shards, not the whole store), its own adaptive
-// planner state (per-session, per-shard AdaptiveStrategy instances with
-// independent DynamicStats and calibration residuals), and its own cache.
-// Updates fan out to every holder shard of each target; each holder's
-// update path runs its local I-lock invalidation, which is what keeps all
-// shard caches coherent — the cross-shard invalidation protocol is
-// "replicas apply the same update", with no extra message type.
+// Each shard has its own query executor (exec/executor.h): its own
+// LockManager (the scale-out lever: an update X-locks only its holder
+// shards, not the whole store), its own WAL brackets, and its own pool of
+// strategy sessions, hence per-shard adaptive planner state (independent
+// DynamicStats and calibration residuals). Each shard also has its own
+// cache. The engine itself is routing, merging and MVCC stripe ordering;
+// the query-level trace span and heat touches wrap the whole routed query
+// once (QueryScope). Updates fan out to every holder shard of each
+// target; each holder's update path runs its local I-lock invalidation,
+// which is what keeps all shard caches coherent — the cross-shard
+// invalidation protocol is "replicas apply the same update", with no
+// extra message type.
 //
 // Crash scope: per-shard WAL transactions, no two-phase commit. A crash
 // mid-fanout leaves some holders updated and others not; because updates
@@ -43,13 +47,12 @@
 #define OBJREP_SHARD_ENGINE_H_
 
 #include <array>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/strategy.h"
-#include "exec/lock_manager.h"
+#include "exec/executor.h"
 #include "objstore/workload.h"
 #include "shard/sharded_db.h"
 
@@ -62,7 +65,7 @@ namespace shard {
 class ShardedEngine {
  public:
   /// `db` must outlive the engine. Strategy sessions are created lazily
-  /// per kind and pooled, like ObjService's session leases.
+  /// per kind and pooled by each shard's executor.
   ShardedEngine(ShardedDatabase* db, StrategyOptions options);
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -73,9 +76,10 @@ class ShardedEngine {
   Status ExecuteRetrieve(StrategyKind kind, const Query& q,
                          RetrieveResult* out);
 
-  /// Fans the update out to every holder shard of each target, each under
-  /// its shard's X locks and WAL transaction (2PL mode) or through the
-  /// shard's version store under engine-level per-OID stripes (MVCC mode).
+  /// Fans the update out to every holder shard of each target, each
+  /// through its shard's executor: X locks and a WAL transaction (2PL
+  /// mode) or the shard's version store under engine-level per-OID
+  /// stripes (MVCC mode).
   Status ExecuteUpdate(StrategyKind kind, const Query& q);
 
   /// MVCC quiescent-point fold on every shard (no-op without MVCC).
@@ -84,53 +88,30 @@ class ShardedEngine {
 
   ShardedDatabase* db() { return db_; }
   const DatabaseSpec& spec() const { return db_->spec; }
-  const StrategyOptions& options() const { return options_; }
   uint32_t num_shards() const { return db_->num_shards(); }
-  LockManager* lock_manager(uint32_t k) { return locks_[k].get(); }
+  Executor* executor(uint32_t k) { return shards_[k].get(); }
 
  private:
-  /// One checked-out execution context: a strategy instance per shard.
-  struct Session {
-    std::vector<std::unique_ptr<Strategy>> per_shard;
-  };
-
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(ShardedEngine* engine, StrategyKind kind,
-          std::unique_ptr<Session> session)
-        : engine_(engine), kind_(kind), session_(std::move(session)) {}
-    Lease(Lease&&) = default;
-    Lease& operator=(Lease&&) = default;
-    ~Lease();
-    Session* session() { return session_.get(); }
-
-   private:
-    ShardedEngine* engine_ = nullptr;
-    StrategyKind kind_ = StrategyKind::kDfs;
-    std::unique_ptr<Session> session_;
-  };
-
-  Status Checkout(StrategyKind kind, Lease* out);
-  void Return(StrategyKind kind, std::unique_ptr<Session> session);
-
   bool IsPointwise(StrategyKind kind, const Query& q) const;
   static bool IsSortedMerge(StrategyKind kind);
 
-  /// Runs the sub-query on shard `k` under its lock set.
-  Status RunShardRetrieve(Session* session, uint32_t k, const Query& q,
+  /// Runs the sub-query on shard `k` through its executor, with a pooled
+  /// session of `kind`.
+  Status RunShardRetrieve(StrategyKind kind, uint32_t k, const Query& q,
                           RetrieveResult* out);
 
-  Status RetrievePointwise(Session* session, const Query& q,
+  Status RetrievePointwise(StrategyKind kind, const Query& q,
                            RetrieveResult* out);
-  Status RetrieveMerge(Session* session, const Query& q, bool dedup,
+  Status RetrieveMerge(StrategyKind kind, const Query& q, bool dedup,
                        RetrieveResult* out);
-  Status RetrieveConcat(Session* session, const Query& q,
+  Status RetrieveConcat(StrategyKind kind, const Query& q,
                         RetrieveResult* out);
+  /// Routes each target to its holder shards and runs the update there.
+  Status UpdateHolders(StrategyKind kind, const Query& q);
 
   ShardedDatabase* db_;
   StrategyOptions options_;
-  std::vector<std::unique_ptr<LockManager>> locks_;  // one per shard
+  std::vector<std::unique_ptr<Executor>> shards_;  // one per shard
 
   /// MVCC update ordering across replicas: an update locks the stripe of
   /// every target OID (ascending stripe index, so no deadlock) before the
@@ -139,10 +120,6 @@ class ShardedEngine {
   /// the same order on every holder shard, keeping replicas convergent
   /// without a cross-shard commit protocol.
   std::array<std::mutex, 64> oid_stripes_;
-
-  std::mutex sessions_mu_;
-  std::map<StrategyKind, std::vector<std::unique_ptr<Session>>>
-      idle_;  // guarded by sessions_mu_
 
   // Per-shard work attribution ("shard.<k>.*" in the metrics registry).
   std::vector<Counter*> retrieve_subqueries_;

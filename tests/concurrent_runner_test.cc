@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/runner.h"
@@ -168,24 +169,62 @@ TEST(ConcurrentRunnerTest, DurationModeRunsUntilDeadline) {
 }
 
 TEST(ConcurrentRunnerTest, AggregateIoMatchesSequentialOnOneThread) {
-  // With one worker and a read-only stream, the engine's aggregate I/O
-  // bill equals the sequential runner's (same fetches, same final flush).
-  Fixture seq = MakeFixture(ReadOnlyWorkload());
-  std::unique_ptr<Strategy> strategy;
-  ASSERT_TRUE(
-      MakeStrategy(StrategyKind::kDfs, seq.db.get(), {}, &strategy).ok());
-  RunResult base;
-  ASSERT_TRUE(
-      RunWorkload(strategy.get(), seq.db.get(), seq.queries, &base).ok());
+  // With one worker, the engine's aggregate bill and answers equal the
+  // sequential runner's: both run every query through the same executor
+  // body and close with the same fold + flush. Parameterised over the
+  // query mix and the isolation/durability mode the database selects.
+  struct Case {
+    const char* name;
+    double pr_update;
+    bool wal;
+    bool mvcc;
+  };
+  const Case kCases[] = {
+      {"read-only", 0.0, false, false},
+      {"read-only, WAL", 0.0, true, false},
+      {"read-only, WAL+MVCC", 0.0, true, true},
+      {"30% updates, WAL", 0.3, true, false},
+      {"30% updates, WAL+MVCC", 0.3, true, true},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    DatabaseSpec spec = EngineSpec();
+    spec.enable_wal = c.wal;
+    spec.enable_mvcc = c.mvcc;
+    WorkloadSpec wl = ReadOnlyWorkload();
+    wl.pr_update = c.pr_update;
 
-  Fixture f = MakeFixture(ReadOnlyWorkload());
-  ConcurrentRunOptions opts;
-  opts.num_threads = 1;
-  ConcurrentRunResult r;
-  ASSERT_TRUE(RunConcurrentWorkload(StrategyKind::kDfs, {}, f.db.get(),
-                                    f.queries, opts, &r)
-                  .ok());
-  EXPECT_EQ(r.combined.total_io, base.total_io);
+    auto make_db = [&](std::unique_ptr<ComplexDatabase>* db,
+                       std::vector<Query>* queries) {
+      ASSERT_TRUE(BuildDatabase(spec, db).ok());
+      ASSERT_TRUE(GenerateWorkload(wl, **db, queries).ok());
+    };
+    std::unique_ptr<ComplexDatabase> seq_db, conc_db;
+    std::vector<Query> seq_queries, conc_queries;
+    make_db(&seq_db, &seq_queries);
+    make_db(&conc_db, &conc_queries);
+
+    std::unique_ptr<Strategy> strategy;
+    ASSERT_TRUE(
+        MakeStrategy(StrategyKind::kDfs, seq_db.get(), {}, &strategy).ok());
+    RunResult base;
+    ASSERT_TRUE(
+        RunWorkload(strategy.get(), seq_db.get(), seq_queries, &base).ok());
+    if (c.pr_update > 0) ASSERT_GT(base.num_updates, 0u);
+
+    ConcurrentRunOptions opts;
+    opts.num_threads = 1;
+    ConcurrentRunResult r;
+    ASSERT_TRUE(RunConcurrentWorkload(StrategyKind::kDfs, {}, conc_db.get(),
+                                      conc_queries, opts, &r)
+                    .ok());
+    EXPECT_EQ(r.combined.total_io, base.total_io);
+    EXPECT_EQ(r.combined.io_by_tag.total(), base.io_by_tag.total());
+    EXPECT_EQ(r.combined.result_count, base.result_count);
+    EXPECT_EQ(r.combined.result_sum, base.result_sum);
+    EXPECT_EQ(base.total_io, base.io.total());
+    EXPECT_EQ(r.combined.total_io, r.combined.io.total());
+  }
 }
 
 }  // namespace

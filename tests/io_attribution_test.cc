@@ -208,7 +208,8 @@ TEST(IoAttributionTest, MvccRunSumsExactlyAndBillsCommitAndFoldTags) {
   const RunResult& r = cr.combined;
 
   // Exact partition, reads and writes separately — including the fold,
-  // which runs inside the measured window.
+  // which runs inside the measured window and is part of the run's bill.
+  EXPECT_EQ(r.total_io, r.io.total());
   EXPECT_EQ(r.io_by_tag.total_reads(), r.io.reads);
   EXPECT_EQ(r.io_by_tag.total_writes(), r.io.writes);
   EXPECT_EQ(r.io_by_tag.total_for(IoTag::kNone), 0u);

@@ -4,14 +4,20 @@
 // the same exactness invariant io_attribution_test pins for flat runs,
 // here proven across the service boundary. Also: the PROFILE flag over a
 // real socket, trace-id stamping, unknown-flag rejection, and the
-// slow-query ring surfacing through STATS.
+// slow-query ring surfacing through STATS, and 2PL lock wait reported by
+// the query executor on both backends.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "exec/executor.h"
+#include "exec/lock_manager.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -52,7 +58,8 @@ int64_t IntAfter(const std::string& json, const std::string& key,
   size_t pos = json.find(needle, from);
   if (pos == std::string::npos) return -1;
   pos += needle.size();
-  int64_t v = 0;
+  // Unsigned accumulation: trace ids use all 64 bits.
+  uint64_t v = 0;
   bool any = false;
   while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
     v = v * 10 + (json[pos] - '0');
@@ -60,7 +67,7 @@ int64_t IntAfter(const std::string& json, const std::string& key,
     any = true;
   }
   if (at != nullptr) *at = pos;
-  return any ? v : -1;
+  return any ? static_cast<int64_t>(v) : -1;
 }
 
 /// Sums every occurrence of `"key":N` at or after `from`.
@@ -139,6 +146,67 @@ TEST(NetProfileTest, ShardedMvccProfileSumsExactlyToEngineCounters) {
   EXPECT_EQ(IntAfter(p, "rows"),
             static_cast<int64_t>(resp.values.size())) << p;
 }
+
+/// Lock wait is reported by the query executor, so every backend bills
+/// it the same way. Parameter: shard count, 1 = a single database.
+class NetProfileLockWaitTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(NetProfileLockWaitTest, ProfiledRetrieveReportsLockWait) {
+  constexpr auto kHold = std::chrono::milliseconds(50);
+  constexpr int64_t kMinWaitUs = 20000;
+  DatabaseSpec spec = ShardedMvccSpec();
+  spec.enable_mvcc = false;  // 2PL: a retrieve S-locks every child relation
+  std::unique_ptr<ComplexDatabase> db;
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  std::unique_ptr<shard::ShardedEngine> engine;
+  std::unique_ptr<ObjService> service;
+  Executor* exec = nullptr;  // the executor whose lock the blocker holds
+  if (GetParam() == 1) {
+    ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+    service = std::make_unique<ObjService>(db.get(), StrategyKind::kDfs,
+                                           StrategyOptions{});
+    exec = service->executor();
+  } else {
+    ASSERT_TRUE(shard::BuildShardedDatabase(spec, GetParam(), &sdb).ok());
+    engine = std::make_unique<shard::ShardedEngine>(sdb.get(),
+                                                    StrategyOptions{});
+    service = std::make_unique<ObjService>(engine.get(), StrategyKind::kDfs,
+                                           StrategyOptions{});
+    exec = engine->executor(0);
+  }
+  ASSERT_NE(exec, nullptr);
+
+  // An X lock on a child relation, held well past the threshold while
+  // the profiled retrieve queues behind it.
+  const LockId rel = exec->db()->child_rels[0]->rel_id();
+  std::promise<void> locked;
+  std::thread blocker([&] {
+    ScopedLockSet x(exec->lock_manager(), {{rel, LockMode::kExclusive}});
+    locked.set_value();
+    std::this_thread::sleep_for(kHold);
+  });
+  locked.get_future().wait();
+
+  Request req;
+  req.verb = Verb::kRetrieve;
+  req.flags = kReqFlagProfile;
+  req.lo_parent = 0;
+  req.num_top = spec.num_parents;  // full range: every shard works
+  req.attr_index = 0;
+  Response resp = service->Execute(req);
+  blocker.join();
+  ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
+  EXPECT_GE(IntAfter(resp.profile_json, "lock_wait_us"), kMinWaitUs)
+      << resp.profile_json;
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, NetProfileLockWaitTest,
+                         ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return info.param == 1
+                                      ? std::string("SingleDatabase")
+                                      : std::to_string(info.param) + "Shards";
+                         });
 
 TEST(NetProfileTest, ProfileRidesTheWireAndCarriesTheFrameTraceId) {
   DatabaseSpec spec = ShardedMvccSpec();

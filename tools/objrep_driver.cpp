@@ -96,27 +96,32 @@ void HandleStopSignal(int) {
   if (g_server != nullptr) g_server->RequestStop();  // async-signal-safe
 }
 
-/// --serve: build the database once, serve it until SIGINT/SIGTERM or a
-/// SHUTDOWN verb, then drain and report. With shards > 1 the server fronts
-/// a scatter-gather ShardedEngine instead of a single database.
-int RunServer(const DriverFlags& flags, const ExperimentConfig& config) {
+/// The store a served or profiled run executes against: one database, or
+/// with shards > 1 a sharded store behind a scatter-gather ShardedEngine.
+struct Backend {
   std::unique_ptr<ComplexDatabase> db;
   std::unique_ptr<shard::ShardedDatabase> sdb;
   std::unique_ptr<shard::ShardedEngine> engine;
-  Status s;
-  if (config.shards > 1) {
-    s = shard::BuildShardedDatabase(config.db, config.shards, &sdb);
-    if (s.ok()) {
-      engine =
-          std::make_unique<shard::ShardedEngine>(sdb.get(), config.options);
-    }
-  } else {
-    s = BuildDatabase(config.db, &db);
+
+  Status Build(const ExperimentConfig& config) {
+    if (config.shards <= 1) return BuildDatabase(config.db, &db);
+    OBJREP_RETURN_NOT_OK(
+        shard::BuildShardedDatabase(config.db, config.shards, &sdb));
+    engine = std::make_unique<shard::ShardedEngine>(sdb.get(), config.options);
+    return Status::OK();
   }
+};
+
+/// --serve: build the database once, serve it until SIGINT/SIGTERM or a
+/// SHUTDOWN verb, then drain and report.
+int RunServer(const DriverFlags& flags, const ExperimentConfig& config) {
+  Backend backend;
+  Status s = backend.Build(config);
   if (!s.ok()) {
     std::fprintf(stderr, "build failed: %s\n", s.ToString().c_str());
     return 1;
   }
+  shard::ShardedEngine* engine = backend.engine.get();
 
   net::ServerConfig sc;
   sc.port = static_cast<uint16_t>(
@@ -132,8 +137,9 @@ int RunServer(const DriverFlags& flags, const ExperimentConfig& config) {
   if (!flags.trace_out.empty()) Trace::SetEnabled(true);
 
   std::unique_ptr<net::ObjServer> server =
-      engine != nullptr ? std::make_unique<net::ObjServer>(engine.get(), sc)
-                        : std::make_unique<net::ObjServer>(db.get(), sc);
+      engine != nullptr
+          ? std::make_unique<net::ObjServer>(engine, sc)
+          : std::make_unique<net::ObjServer>(backend.db.get(), sc);
   s = server->Start();
   if (!s.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());
@@ -180,30 +186,18 @@ int RunServer(const DriverFlags& flags, const ExperimentConfig& config) {
 int RunProfileReport(const DriverFlags& flags, const ExperimentConfig& config) {
   (void)flags;
   for (StrategyKind kind : config.strategies) {
-    std::unique_ptr<ComplexDatabase> db;
-    std::unique_ptr<shard::ShardedDatabase> sdb;
-    std::unique_ptr<shard::ShardedEngine> engine;
-    std::unique_ptr<net::ObjService> service;
-    Status s;
-    if (config.shards > 1) {
-      s = shard::BuildShardedDatabase(config.db, config.shards, &sdb);
-      if (s.ok()) {
-        engine =
-            std::make_unique<shard::ShardedEngine>(sdb.get(), config.options);
-        service = std::make_unique<net::ObjService>(engine.get(), kind,
-                                                    config.options);
-      }
-    } else {
-      s = BuildDatabase(config.db, &db);
-      if (s.ok()) {
-        service =
-            std::make_unique<net::ObjService>(db.get(), kind, config.options);
-      }
-    }
+    Backend backend;
+    Status s = backend.Build(config);
     if (!s.ok()) {
       std::fprintf(stderr, "build failed: %s\n", s.ToString().c_str());
       return 1;
     }
+    std::unique_ptr<net::ObjService> service =
+        backend.engine != nullptr
+            ? std::make_unique<net::ObjService>(backend.engine.get(), kind,
+                                                config.options)
+            : std::make_unique<net::ObjService>(backend.db.get(), kind,
+                                                config.options);
 
     net::Request req;
     req.verb = net::Verb::kRetrieve;
@@ -256,48 +250,36 @@ int RunShardedReport(const ExperimentConfig& config) {
     }
     shard::ShardedEngine engine(sdb.get(), config.options);
 
-    uint64_t retrieve_io = 0, update_io = 0;
-    uint32_t num_retrieves = 0, num_updates = 0;
-    int64_t result_sum = 0;
+    RunResult r;
     IoCounters run_start = SumShardCounters(*sdb);
     for (const Query& q : queries) {
       IoCounters before = SumShardCounters(*sdb);
-      if (q.kind == Query::Kind::kRetrieve) {
-        RetrieveResult result;
-        s = engine.ExecuteRetrieve(kind, q, &result);
-        if (!s.ok()) break;
-        retrieve_io += (SumShardCounters(*sdb) - before).total();
-        for (int32_t v : result.values) result_sum += v;
-        ++num_retrieves;
-      } else {
-        s = engine.ExecuteUpdate(kind, q);
-        if (!s.ok()) break;
-        update_io += (SumShardCounters(*sdb) - before).total();
-        ++num_updates;
-      }
+      const bool retrieve = q.kind == Query::Kind::kRetrieve;
+      RetrieveResult result;
+      s = retrieve ? engine.ExecuteRetrieve(kind, q, &result)
+                   : engine.ExecuteUpdate(kind, q);
+      if (!s.ok()) break;
+      (retrieve ? r.retrieve_io : r.update_io) +=
+          (SumShardCounters(*sdb) - before).total();
+      ++(retrieve ? r.num_retrieves : r.num_updates);
+      ++r.num_queries;
+      for (int32_t v : result.values) r.result_sum += v;
     }
-    if (s.ok()) {
-      // Deferred dirty pages are part of the bill, as in RunWorkload.
-      for (const auto& sh : sdb->shards) {
-        s = sh->pool->FlushAll();
-        if (!s.ok()) break;
-      }
+    // Deferred writes are part of the bill, as in RunWorkload: the MVCC
+    // fold of committed versions onto base pages, then the dirty pages.
+    if (s.ok()) s = engine.FoldAll();
+    for (size_t k = 0; s.ok() && k < sdb->shards.size(); ++k) {
+      s = sdb->shards[k]->pool->FlushAll();
     }
     if (!s.ok()) {
       std::fprintf(stderr, "%s: %s\n", StrategyKindName(kind),
                    s.ToString().c_str());
       return 1;
     }
-    uint64_t total_io = (SumShardCounters(*sdb) - run_start).total();
-    uint32_t num_queries = num_retrieves + num_updates;
+    r.total_io = (SumShardCounters(*sdb) - run_start).total();
     std::printf("%-16s %12.1f %12.1f %12.1f %12lld\n", StrategyKindName(kind),
-                num_queries ? static_cast<double>(total_io) / num_queries : 0.0,
-                num_retrieves
-                    ? static_cast<double>(retrieve_io) / num_retrieves
-                    : 0.0,
-                num_updates ? static_cast<double>(update_io) / num_updates
-                            : 0.0,
-                static_cast<long long>(result_sum));
+                r.AvgIoPerQuery(), r.AvgRetrieveIo(), r.AvgUpdateIo(),
+                static_cast<long long>(r.result_sum));
   }
   return 0;
 }

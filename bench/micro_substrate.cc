@@ -1,5 +1,6 @@
 // Micro-benchmarks of the storage substrate (google-benchmark): B-tree
-// probes and scans, hash-file probes, external sort, buffer-pool hit path.
+// probes and scans, hash-file probes, external sort, buffer-pool hits and
+// misses.
 // These are engineering benchmarks (M1 in DESIGN.md), not paper figures.
 #include <benchmark/benchmark.h>
 
@@ -138,6 +139,39 @@ void BM_BufferPoolHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolHit);
+
+// CPU cost of one demand miss on clean pages, by pool size: random fetches
+// over twice as many pages as frames, so about every other fetch misses
+// and evicts a clean LRU victim (no write-back). One iteration fetches
+// until it has missed once, so the time per iteration is the cost of one
+// miss plus about one hit. ROADMAP item 1 targets <= 2x from 100 to 64k
+// frames.
+void BM_BufferPoolMiss(benchmark::State& state) {
+  const uint32_t frames = static_cast<uint32_t>(state.range(0));
+  const uint32_t pages = 2 * frames;
+  DiskManager disk;
+  for (uint32_t i = 0; i < pages; ++i) disk.AllocatePage();
+  BufferPool pool(&disk, frames);
+  Rng rng(6);
+  for (uint32_t i = 0; i < pages; ++i) {  // fill the pool, warm the LRU
+    PageGuard g;
+    OBJREP_CHECK(pool.FetchPage(rng.Uniform(pages), &g).ok());
+  }
+  const uint64_t fetches0 = pool.hits() + pool.misses();
+  const uint64_t misses0 = pool.misses();
+  for (auto _ : state) {
+    const uint64_t m = pool.misses();
+    do {
+      PageGuard g;
+      OBJREP_CHECK(pool.FetchPage(rng.Uniform(pages), &g).ok());
+      benchmark::DoNotOptimize(g.page());
+    } while (pool.misses() == m);
+  }
+  state.counters["fetches_per_miss"] =
+      static_cast<double>(pool.hits() + pool.misses() - fetches0) /
+      static_cast<double>(pool.misses() - misses0);
+}
+BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Arg(1000)->Arg(10000)->Arg(65536);
 
 }  // namespace
 }  // namespace objrep

@@ -242,8 +242,11 @@ struct ObjServer::Impl {
 
   std::string BuildStatsJson() {
     // STATS doubles as the heat map's decay clock: self-limited to one
-    // decay per HeatMap::kDecayIntervalUs however often clients poll.
-    HeatMap::Global().MaybeDecay();
+    // decay per HeatMap::kDecayIntervalUs however often clients poll. With
+    // heat off nothing here touches HeatMap::Global(), so a server that
+    // never records heat never builds the tracker.
+    const bool heat_on = HeatMap::enabled();
+    if (heat_on) HeatMap::Global().MaybeDecay();
     std::ostringstream os;
     // The "db" section is the client's schema bootstrap: a load generator
     // needs |ParentRel| and the child relation ids to form valid
@@ -267,8 +270,8 @@ struct ObjServer::Impl {
       // Each shard's slice of the heat ranking: the global top parents
       // routed back to their owning shard, so a reclusterer (or operator)
       // can see which shards carry the skew.
-      std::vector<HeatMap::ParentHeat> hot =
-          HeatMap::Global().TopParents(64);
+      std::vector<HeatMap::ParentHeat> hot;
+      if (heat_on) hot = HeatMap::Global().TopParents(64);
       os << ",\"shards\":[";
       for (uint32_t k = 0; k < engine->num_shards(); ++k) {
         const ComplexDatabase& sdb = *engine->db()->shards[k];
@@ -319,7 +322,7 @@ struct ObjServer::Impl {
        << ",\"max_inflight\":" << max_inflight.load(std::memory_order_relaxed)
        << ",\"default_strategy\":\""
        << StrategyKindName(service.default_strategy()) << "\""
-       << "},\"heat\":" << HeatMap::Global().ToJson(16)
+       << "},\"heat\":" << HeatMap::GlobalJson(16)
        << ",\"slow_queries\":{\"threshold_us\":"
        << SlowQueryRing::Global().threshold_us()
        << ",\"captured\":" << SlowQueryRing::Global().captured()
@@ -637,7 +640,7 @@ Status ObjServer::Start() {
   // Observability knobs are process-global (the trackers are shared with
   // the embedded engine); the serving config is their natural owner.
   SlowQueryRing::Global().set_threshold_us(im.config.slow_query_us);
-  HeatMap::Global().SetEnabled(im.config.enable_heat);
+  HeatMap::SetEnabled(im.config.enable_heat);
 
   im.listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (im.listen_fd < 0) return Errno("socket");

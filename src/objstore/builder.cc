@@ -63,10 +63,10 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
 
   // 3. Emit cluster rows in composite-key order:
   //    (parent key, 0) = parent record, (parent key, 1..) = its claim.
-  std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
+  // Rows are encoded as they are emitted (see the ParentRel load below).
+  Table* cluster = db->cluster_rel;
+  std::vector<BPlusTree::Entry> rows;
   rows.reserve(spec.num_parents * (1 + spec.size_unit));
-  const Schema& cluster_schema = db->cluster_rel->schema();
-  (void)cluster_schema;
   std::vector<IsamIndex::Entry> isam_entries;
 
   auto child_row_of = [db](const Oid& oid) -> const ChildRow& {
@@ -90,8 +90,9 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
     prow.ret2 = parent_vals[kParentRet2].as_int32();
     prow.ret3 = parent_vals[kParentRet3].as_int32();
     prow.children = db->units[db->unit_of_parent[p]];
-    std::vector<Value> vals = ClusterParentValues(prow, db->parent_dummy_width);
-    rows.emplace_back(ClusterKey(p, 0), std::move(vals));
+    OBJREP_RETURN_NOT_OK(cluster->EncodeRow(
+        ClusterKey(p, 0), ClusterParentValues(prow, db->parent_dummy_width),
+        &rows));
     uint32_t seq = 1;
     for (const Oid& oid : claimed_children[p]) {
       const ChildRow& crow = child_row_of(oid);
@@ -100,7 +101,7 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
       cvals[kClusterNo] = Value(static_cast<int64_t>(p));
       uint64_t key = ClusterKey(p, seq++);
       isam_entries.push_back(IsamIndex::Entry{oid.Packed(), key});
-      rows.emplace_back(key, std::move(cvals));
+      OBJREP_RETURN_NOT_OK(cluster->EncodeRow(key, cvals, &rows));
     }
   }
 
@@ -121,12 +122,12 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
       cvals[kClusterNo] = Value(static_cast<int64_t>(orphan_cluster));
       uint64_t key = ClusterKey(orphan_cluster, orphan_seq++);
       isam_entries.push_back(IsamIndex::Entry{crow.oid.Packed(), key});
-      rows.emplace_back(key, std::move(cvals));
+      OBJREP_RETURN_NOT_OK(cluster->EncodeRow(key, cvals, &rows));
     }
   }
 
   OBJREP_RETURN_NOT_OK(
-      db->cluster_rel->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+      cluster->BulkLoadEncoded(db->pool.get(), rows, spec.fill_factor));
 
   std::sort(isam_entries.begin(), isam_entries.end(),
             [](const IsamIndex::Entry& a, const IsamIndex::Entry& b) {
@@ -236,8 +237,12 @@ Status BuildDatabase(const DatabaseSpec& spec,
   db->unit_of_parent = std::move(assignment);
 
   // --- Bulk load ParentRel. ---
+  // Rows are encoded as they are generated: a decoded row (a vector of
+  // Values, its strings on the heap) takes ~3x its record bytes, and
+  // holding every one until the load left megabytes of freed but resident
+  // heap behind the build.
   {
-    std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
+    std::vector<BPlusTree::Entry> rows;
     rows.reserve(spec.num_parents);
     for (uint32_t p = 0; p < spec.num_parents; ++p) {
       ParentRow row;
@@ -246,22 +251,24 @@ Status BuildDatabase(const DatabaseSpec& spec,
       row.ret2 = static_cast<int32_t>(rng.Uniform(1000000));
       row.ret3 = static_cast<int32_t>(rng.Uniform(1000000));
       row.children = db->units[db->unit_of_parent[p]];
-      rows.emplace_back(p, ParentRowValues(row, db->parent_dummy_width));
+      OBJREP_RETURN_NOT_OK(db->parent_rel->EncodeRow(
+          p, ParentRowValues(row, db->parent_dummy_width), &rows));
     }
-    OBJREP_RETURN_NOT_OK(
-        db->parent_rel->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->parent_rel->BulkLoadEncoded(
+        db->pool.get(), rows, spec.fill_factor));
   }
 
   // --- Bulk load each ChildRel. ---
   for (uint32_t r = 0; r < spec.num_child_rels; ++r) {
-    std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
+    std::vector<BPlusTree::Entry> rows;
     rows.reserve(children_per_rel);
     for (uint32_t k = 0; k < children_per_rel; ++k) {
-      rows.emplace_back(
-          k, ChildRowValues(db->child_rows[r][k], db->child_dummy_width));
+      OBJREP_RETURN_NOT_OK(db->child_rels[r]->EncodeRow(
+          k, ChildRowValues(db->child_rows[r][k], db->child_dummy_width),
+          &rows));
     }
-    OBJREP_RETURN_NOT_OK(
-        db->child_rels[r]->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->child_rels[r]->BulkLoadEncoded(
+        db->pool.get(), rows, spec.fill_factor));
   }
 
   if (spec.build_cluster) {

@@ -1,30 +1,53 @@
 #include "obs/heat_map.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdio>
 
 #include "obs/trace.h"
+#include "util/macros.h"
 
 namespace objrep {
+
+namespace {
+
+constexpr size_t kParentSlotBytes = HeatMap::kParentSlots * sizeof(uint64_t);
+
+uint64_t LoadSlot(uint64_t& slot) {
+  return std::atomic_ref<uint64_t>(slot).load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void HeatMap::UnmapParentSlots::operator()(void* slots) const {
+  munmap(slots, kParentSlotBytes);
+}
+
+template <typename T>
+HeatMap::ParentSlots<T> HeatMap::MapParentSlots() {
+  static_assert(sizeof(T) == sizeof(uint64_t));
+  // Anonymous private memory is zero-filled on first touch, so the slots
+  // start at 0 without the constructor writing (and making resident)
+  // every page. Reads of untouched pages map the shared zero page.
+  void* slots = mmap(nullptr, kParentSlotBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  OBJREP_CHECK_MSG(slots != MAP_FAILED, "heat map slot mapping failed");
+  return ParentSlots<T>(static_cast<T*>(slots));
+}
 
 HeatMap& HeatMap::Global() {
   static HeatMap* h = new HeatMap();
   return *h;
 }
 
-HeatMap::HeatMap() {
+HeatMap::HeatMap()
+    : parent_consumed_(MapParentSlots<uint64_t>()),
+      parent_ewma_(MapParentSlots<double>()) {
   for (Shard& s : shards_) {
-    s.parents.reset(new std::atomic<uint64_t>[kParentSlots]);
-    s.rels.reset(new std::atomic<uint64_t>[kRelSlots]);
-    for (size_t i = 0; i < kParentSlots; ++i) {
-      s.parents[i].store(0, std::memory_order_relaxed);
-    }
-    for (size_t i = 0; i < kRelSlots; ++i) {
-      s.rels[i].store(0, std::memory_order_relaxed);
-    }
+    s.parents = MapParentSlots<uint64_t>();
+    s.rels.reset(new std::atomic<uint64_t>[kRelSlots]());
   }
-  parent_consumed_.reset(new uint64_t[kParentSlots]());
-  parent_ewma_.reset(new double[kParentSlots]());
 }
 
 size_t HeatMap::ThreadShard() const {
@@ -45,8 +68,8 @@ void HeatMap::TouchParents(uint64_t lo, uint64_t n) {
                                     kMaxTouchesPerCall;
   for (uint64_t p = lo; p < lo + n; p += stride) {
     const uint64_t weight = std::min(stride, lo + n - p);
-    s.parents[p % kParentSlots].fetch_add(weight,
-                                          std::memory_order_relaxed);
+    std::atomic_ref<uint64_t>(s.parents[p % kParentSlots])
+        .fetch_add(weight, std::memory_order_relaxed);
   }
   touches_.fetch_add(n, std::memory_order_relaxed);
 }
@@ -59,9 +82,7 @@ void HeatMap::TouchRel(uint32_t rel, uint64_t n) {
 
 uint64_t HeatMap::SumParentSlot(size_t slot) const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.parents[slot].load(std::memory_order_relaxed);
-  }
+  for (const Shard& s : shards_) total += LoadSlot(s.parents[slot]);
   return total;
 }
 
@@ -172,19 +193,30 @@ std::string HeatMap::ToJson(size_t top_k) const {
   return out;
 }
 
+std::string HeatMap::GlobalJson(size_t top_k) {
+  if (enabled()) return Global().ToJson(top_k);
+  return "{\"enabled\":false,\"touches\":0,\"decays\":0,"
+         "\"top_parents\":[],\"rels\":[]}";
+}
+
 void HeatMap::Reset() {
   std::lock_guard<std::mutex> guard(mu_);
+  // Parent slots are cleared only where nonzero: writing a zero into an
+  // untouched page would make it resident for nothing.
   for (Shard& s : shards_) {
     for (size_t i = 0; i < kParentSlots; ++i) {
-      s.parents[i].store(0, std::memory_order_relaxed);
+      if (LoadSlot(s.parents[i]) != 0) {
+        std::atomic_ref<uint64_t>(s.parents[i])
+            .store(0, std::memory_order_relaxed);
+      }
     }
     for (size_t i = 0; i < kRelSlots; ++i) {
       s.rels[i].store(0, std::memory_order_relaxed);
     }
   }
   for (size_t i = 0; i < kParentSlots; ++i) {
-    parent_consumed_[i] = 0;
-    parent_ewma_[i] = 0.0;
+    if (parent_consumed_[i] != 0) parent_consumed_[i] = 0;
+    if (parent_ewma_[i] != 0.0) parent_ewma_[i] = 0.0;
   }
   for (size_t i = 0; i < kRelSlots; ++i) {
     rel_consumed_[i] = 0;

@@ -24,6 +24,12 @@
 // Parent ids map to slots modulo kParentSlots: exact for databases with
 // fewer than 64Ki parents (every configuration in this repo), a fold for
 // larger ones — fine for a ranking signal.
+//
+// Memory: the parent-slot arrays (kHeatShards count arrays plus the
+// consumed watermarks and EWMAs, ~5 MB) are anonymous demand-zero
+// mappings, and nothing writes a slot that stays zero, so only the pages
+// holding touched parents become resident: a 10k-parent database pays
+// at most 80 KB per array, ~0.8 MB in all, not 5 MB.
 #ifndef OBJREP_OBS_HEAT_MAP_H_
 #define OBJREP_OBS_HEAT_MAP_H_
 
@@ -97,6 +103,9 @@ class HeatMap {
 
   /// {"enabled":…,"touches":…,"decays":…,"top_parents":[…],"rels":[…]}
   std::string ToJson(size_t top_k) const;
+  /// Global().ToJson(top_k) while heat is enabled; otherwise the same
+  /// object, disabled and empty, without constructing the tracker.
+  static std::string GlobalJson(size_t top_k);
 
   /// Drops all counts and EWMA state (tests / between driver runs).
   void Reset();
@@ -118,17 +127,28 @@ class HeatMap {
   std::atomic<uint64_t> touches_{0};
   std::atomic<uint64_t> decays_{0};
 
-  /// Write side: kHeatShards independent slot arrays, relaxed atomics.
+  /// kParentSlots 8-byte slots of demand-zero memory (see the header
+  /// comment), unmapped on destruction.
+  struct UnmapParentSlots {
+    void operator()(void* slots) const;
+  };
+  template <typename T>
+  using ParentSlots = std::unique_ptr<T[], UnmapParentSlots>;
+  template <typename T>
+  static ParentSlots<T> MapParentSlots();
+
+  /// Write side: kHeatShards independent slot arrays. Parent slots are
+  /// plain words updated through relaxed std::atomic_ref.
   struct Shard {
-    std::unique_ptr<std::atomic<uint64_t>[]> parents;
+    ParentSlots<uint64_t> parents;
     std::unique_ptr<std::atomic<uint64_t>[]> rels;
   };
   Shard shards_[kHeatShards];
 
   /// Read/decay side, all guarded by mu_.
   mutable std::mutex mu_;
-  std::unique_ptr<uint64_t[]> parent_consumed_;  // folded-into-EWMA watermark
-  std::unique_ptr<double[]> parent_ewma_;
+  ParentSlots<uint64_t> parent_consumed_;  // folded-into-EWMA watermark
+  ParentSlots<double> parent_ewma_;
   uint64_t rel_consumed_[kRelSlots] = {};
   double rel_ewma_[kRelSlots] = {};
   uint64_t last_decay_us_ = 0;

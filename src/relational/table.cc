@@ -9,10 +9,22 @@ Status Table::BulkLoad(
   std::vector<BPlusTree::Entry> entries;
   entries.reserve(rows.size());
   for (const auto& [key, values] : rows) {
-    std::string encoded;
-    OBJREP_RETURN_NOT_OK(EncodeRecord(schema_, values, &encoded));
-    entries.push_back(BPlusTree::Entry{key, std::move(encoded)});
+    OBJREP_RETURN_NOT_OK(EncodeRow(key, values, &entries));
   }
+  return BulkLoadEncoded(pool, entries, fill_factor);
+}
+
+Status Table::EncodeRow(uint64_t key, const std::vector<Value>& values,
+                        std::vector<BPlusTree::Entry>* batch) const {
+  std::string encoded;
+  OBJREP_RETURN_NOT_OK(EncodeRecord(schema_, values, &encoded));
+  batch->push_back(BPlusTree::Entry{key, std::move(encoded)});
+  return Status::OK();
+}
+
+Status Table::BulkLoadEncoded(BufferPool* pool,
+                              const std::vector<BPlusTree::Entry>& entries,
+                              double fill_factor) {
   return BPlusTree::BulkLoad(pool, entries, fill_factor, &tree_);
 }
 

@@ -31,6 +31,14 @@ class Table {
                       rows,
                   double fill_factor = 1.0);
 
+  /// Encodes one row for BulkLoadEncoded, appending it to `batch`.
+  Status EncodeRow(uint64_t key, const std::vector<Value>& values,
+                   std::vector<BPlusTree::Entry>* batch) const;
+  /// Bulk loads encoded rows sorted by strictly increasing key.
+  Status BulkLoadEncoded(BufferPool* pool,
+                         const std::vector<BPlusTree::Entry>& entries,
+                         double fill_factor = 1.0);
+
   /// Creates an empty (insertable) table.
   Status CreateEmpty(BufferPool* pool);
 

@@ -50,6 +50,7 @@ constexpr uint32_t kStagingSpinIters = 64;
 BufferPool::BufferPool(DiskManager* disk, uint32_t capacity)
     : disk_(disk), capacity_(capacity), frames_(capacity) {
   OBJREP_CHECK(capacity > 0);
+  tenancy_.resize(capacity);
   free_frames_.reserve(capacity);
   for (uint32_t i = 0; i < capacity; ++i) {
     free_frames_.push_back(capacity - 1 - i);
@@ -223,66 +224,118 @@ Status BufferPool::ReclaimFrame(std::unique_lock<std::mutex>& lk,
   return Status::OK();
 }
 
+bool BufferPool::VictimAfter(const VictimEntry& a, const VictimEntry& b) {
+  return a.key != b.key ? a.key > b.key : a.frame > b.frame;
+}
+
+void BufferPool::PushVictimLocked(const VictimEntry& e) {
+  victims_.push_back(e);
+  std::push_heap(victims_.begin(), victims_.end(), VictimAfter);
+}
+
+BufferPool::Frame& BufferPool::AdmitFrameLocked(uint32_t frame, PageId pid,
+                                                bool dirty) {
+  Frame& f = frames_[frame];
+  f.pid = pid;
+  f.pin_count.store(1, std::memory_order_relaxed);
+  f.dirty.store(dirty, std::memory_order_relaxed);
+  f.in_use = true;
+  const uint32_t tenancy = ++tenancy_[frame];
+  if (victims_.size() >= 2 * static_cast<size_t>(capacity_)) {
+    // Frames freed without an eviction (FreePage, invalidation, abort,
+    // a failed read) leave their entries behind until popped. Dropping
+    // them here leaves at most one entry per in-use frame, so the heap
+    // stays within 2 * capacity_ at amortized O(1) per admission.
+    victims_.erase(std::remove_if(victims_.begin(), victims_.end(),
+                                  [this](const VictimEntry& e) {
+                                    return !frames_[e.frame].in_use ||
+                                           e.tenancy != tenancy_[e.frame];
+                                  }),
+                   victims_.end());
+    std::make_heap(victims_.begin(), victims_.end(), VictimAfter);
+  }
+  // The key is whatever stamp the frame carries from its last tenancy: a
+  // lower bound of every stamp this tenancy will get.
+  PushVictimLocked(VictimEntry{f.last_unpin.load(std::memory_order_relaxed),
+                               frame, tenancy});
+  return f;
+}
+
+bool BufferPool::PopVictimLocked(VictimEntry* out) {
+  bool found = false;
+  while (!victims_.empty() && !found) {
+    std::pop_heap(victims_.begin(), victims_.end(), VictimAfter);
+    VictimEntry e = victims_.back();
+    victims_.pop_back();
+    const Frame& f = frames_[e.frame];
+    if (!f.in_use || e.tenancy != tenancy_[e.frame]) continue;  // stale
+    if (f.pin_count.load(std::memory_order_relaxed) != 0) {
+      victims_aside_.push_back(e);  // pinned (or claimed): not a candidate
+      continue;
+    }
+    const uint64_t stamp = f.last_unpin.load(std::memory_order_relaxed);
+    if (e.key != stamp) {
+      // Restamped since the entry was pushed: re-file it under the stamp.
+      e.key = stamp;
+      PushVictimLocked(e);
+      continue;
+    }
+    // Up to date and unpinned. Every other in-use frame's entry has a key
+    // >= e.key and a stamp >= its key, so this is the exact LRU victim.
+    // Its entry leaves the heap with it; whoever puts the frame back (a
+    // failed claim or write-back) re-pushes it.
+    *out = e;
+    found = true;
+  }
+  for (const VictimEntry& e : victims_aside_) PushVictimLocked(e);
+  victims_aside_.clear();
+  return found;
+}
+
 Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
                                   std::vector<uint32_t>* frames_out) {
   frames_out->clear();
   frames_out->reserve(k);
-  // One LRU scan selects all remaining victims; reclaiming oldest-first
-  // evicts the same frames in the same order as repeated single-victim
-  // scans would, so write-back order (and thus every I/O count) matches
-  // the one-page-at-a-time path exactly. A dirty reclaim releases
-  // evict_mu_ around its device write (§17), after which both the free
-  // list and the scan are redone: single-threaded the stamps have not
-  // moved, so the victim sequence is bit-identical to the fully-latched
-  // path; under concurrency the fresh scan never acts on candidates that
-  // went stale during the window.
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
+  // Free frames first, then victims popped off the heap oldest first —
+  // the same frames in the same order as repeated single-victim picks, so
+  // write-back order (and thus every I/O count) matches the one-page-at-a-
+  // time path exactly. A dirty reclaim releases evict_mu_ around its
+  // device write (§17); the free list is rechecked on every round, and
+  // each pop re-reads pin counts and stamps, so nothing that went stale
+  // during the window is acted on.
+  auto roll_back = [&] {  // the batch is all-or-nothing
+    for (uint32_t fr : *frames_out) free_frames_.push_back(fr);
+    frames_out->clear();
+  };
   while (frames_out->size() < k) {
-    while (frames_out->size() < k && !free_frames_.empty()) {
+    if (!free_frames_.empty()) {
       frames_out->push_back(free_frames_.back());
       free_frames_.pop_back();
+      continue;
     }
-    if (frames_out->size() == k) break;
-    candidates.clear();
-    for (uint32_t i = 0; i < frames_.size(); ++i) {
-      Frame& f = frames_[i];
-      if (!f.in_use || f.pin_count.load(std::memory_order_relaxed) != 0) {
-        continue;
-      }
-      candidates.emplace_back(f.last_unpin.load(std::memory_order_relaxed), i);
-    }
-    if (candidates.empty()) {
-      // Roll back: the batch is all-or-nothing.
-      for (uint32_t fr : *frames_out) free_frames_.push_back(fr);
-      frames_out->clear();
+    VictimEntry victim;
+    if (!PopVictimLocked(&victim)) {
+      roll_back();
       return Status::NoSpace("buffer pool exhausted: all frames pinned");
     }
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [stamp, victim] : candidates) {
-      if (frames_out->size() == k) break;
-      int expected = 0;
-      if (!frames_[victim].pin_count.compare_exchange_strong(
-              expected, kEvicting, std::memory_order_acquire)) {
-        continue;  // raced with a concurrent pin; maybe rescan
-      }
-      const bool was_dirty =
-          frames_[victim].dirty.load(std::memory_order_relaxed);
-      Status s = ReclaimFrame(lk, victim);
-      if (!s.ok()) {
-        // The victim's write-back failed: ReclaimFrame restored it
-        // (still resident, still dirty), so only the frames already taken
-        // roll back to the free list.
-        for (uint32_t fr : *frames_out) free_frames_.push_back(fr);
-        frames_out->clear();
-        return s;
-      }
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().evictions->Add(1);
-      frames_out->push_back(victim);
-      if (was_dirty && !serialize_miss_io_.load(std::memory_order_relaxed)) {
-        break;  // evict_mu_ was released mid-write: rescan before continuing
-      }
+    int expected = 0;
+    if (!frames_[victim.frame].pin_count.compare_exchange_strong(
+            expected, kEvicting, std::memory_order_acquire)) {
+      PushVictimLocked(victim);  // raced with a concurrent pin; re-pop
+      continue;
     }
+    Status s = ReclaimFrame(lk, victim.frame);
+    if (!s.ok()) {
+      // The victim's write-back failed: ReclaimFrame restored it (still
+      // resident, still dirty), so it goes back on the heap and only the
+      // frames already taken roll back to the free list.
+      PushVictimLocked(victim);
+      roll_back();
+      return s;
+    }
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().evictions->Add(1);
+    frames_out->push_back(victim.frame);
   }
   return Status::OK();
 }
@@ -327,12 +380,7 @@ Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
   // bit-identical to running with prefetch off (DESIGN.md §9).
   uint32_t frame;
   OBJREP_RETURN_NOT_OK(AllocateFrame(lk, &frame));
-  Frame& f = frames_[frame];
-  f.page = staging_[st_idx].page;
-  f.pid = pid;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.in_use = true;
+  AdmitFrameLocked(frame, pid, /*dirty=*/false).page = staging_[st_idx].page;
   {
     Shard& shard = ShardFor(pid);
     std::lock_guard<std::mutex> l(shard.mu);
@@ -457,11 +505,7 @@ Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
   }
   uint32_t frame;
   OBJREP_RETURN_NOT_OK(AllocateFrame(big, &frame));
-  Frame& f = frames_[frame];
-  f.pid = pid;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.in_use = true;
+  Frame& f = AdmitFrameLocked(frame, pid, /*dirty=*/false);
   // The claim keeps the frame private (unmapped, and same-page missers
   // sleep on the claim), so the read itself needs no pool latch — this is
   // the §17 fix: concurrent misses overlap their device time instead of
@@ -504,12 +548,7 @@ Status BufferPool::PinNewFrame(PageId pid, PageGuard* out) {
   RecycleRetiredStagingLocked();
   uint32_t frame;
   OBJREP_RETURN_NOT_OK(AllocateFrame(big, &frame));
-  Frame& f = frames_[frame];
-  f.pid = pid;
-  f.pin_count.store(1, std::memory_order_relaxed);
-  f.dirty.store(true, std::memory_order_relaxed);
-  f.in_use = true;
-  f.page.Zero();
+  AdmitFrameLocked(frame, pid, /*dirty=*/true).page.Zero();
   uint32_t redundant_staged = UINT32_MAX;
   {
     Shard& shard = ShardFor(pid);
@@ -688,11 +727,7 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
       for (size_t j = 0; j < need.size(); ++j) {
         size_t i = need[j].pos;
         PageId pid = pids[i];
-        Frame& f = frames_[frames[j]];
-        f.pid = pid;
-        f.pin_count.store(1, std::memory_order_relaxed);
-        f.dirty.store(false, std::memory_order_relaxed);
-        f.in_use = true;
+        Frame& f = AdmitFrameLocked(frames[j], pid, /*dirty=*/false);
         loading[pid] = frames[j];
         uint32_t st = UINT32_MAX;
         {
@@ -1192,6 +1227,7 @@ uint64_t BufferPool::DropAllFrames() {
     free_frames_.push_back(i);
     ++dropped;
   }
+  victims_.clear();  // every entry is stale now
   return dropped;
 }
 

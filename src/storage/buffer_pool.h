@@ -17,7 +17,13 @@
 //     `evict_mu_`, which also covers FlushAll and InvalidateAllClean)
 //     picks the unpinned in-use frame with the smallest stamp. This is
 //     bit-identical to the seed's intrusive-list LRU for single-threaded
-//     runs, so all paper figures are unchanged.
+//     runs, so all paper figures are unchanged. The victim is found in
+//     O(log F) off a lazily maintained min-heap (DESIGN.md §17): every
+//     in-use frame has one entry whose key is <= its current stamp, the
+//     hit path never touches the heap, and a popped entry whose key has
+//     fallen behind its frame's stamp is re-pushed with the new stamp, so
+//     the first entry popped with an up-to-date key on an unpinned frame
+//     is the exact minimum.
 //   * Demand-miss I/O runs *outside* evict_mu_ (DESIGN.md §17). A misser
 //     claims the page in its bucket's in-flight table (probe-or-claim is
 //     atomic under the bucket latch), holds evict_mu_ only long enough to
@@ -45,8 +51,8 @@
 //     mid-update (approximate while workers run).
 //
 // Batched I/O (DESIGN.md §9): FetchPages pins a whole batch with one
-// evict_mu_ pass — victims for all missing pages are selected in one LRU
-// scan (oldest first, the same victims the one-at-a-time path would pick)
+// evict_mu_ pass — victims for all missing pages are popped off the LRU
+// heap oldest first (the same victims the one-at-a-time path would pick)
 // — and reads the missing pages with a single vectored DiskManager::
 // ReadPages issued after evict_mu_ is released (the batch's in-flight
 // claims keep the unpublished frames private).
@@ -256,7 +262,9 @@ class BufferPool {
   /// Requires quiescence: no concurrent guard may be mutating content.
   Status FlushAll();
 
-  /// Drops every unpinned frame without writing it back. Only used by tests.
+  /// Drops every unpinned clean frame (and every staged copy) without
+  /// writing anything back, so the next accesses start cold. Tests and the
+  /// benchmark call it between phases; dirty and pinned frames stay.
   void InvalidateAllClean();
 
   /// Zeroes every pool statistic (hits, misses, prefetched, evictions,
@@ -354,6 +362,13 @@ class BufferPool {
   }
   DiskManager* disk() const { return disk_; }
 
+  /// Entries in the LRU victim heap, stale ones included. Bounded by twice
+  /// the capacity (see AdmitFrameLocked); exposed for tests.
+  size_t victim_heap_size() {
+    std::lock_guard<std::mutex> l(evict_mu_);
+    return victims_.size();
+  }
+
  private:
   friend class PageGuard;
 
@@ -427,6 +442,19 @@ class BufferPool {
     std::unordered_map<PageId, std::shared_ptr<InflightRead>> inflight;
   };
 
+  /// One entry of the LRU victim heap. While `tenancy` matches the frame's
+  /// current one, `key` <= the frame's last_unpin (stamps only grow), so
+  /// the heap's top bounds the stamp of every in-use frame from below.
+  /// Entries of an earlier tenancy are stale and dropped when popped.
+  struct VictimEntry {
+    uint64_t key;
+    uint32_t frame;
+    uint32_t tenancy;
+  };
+  /// Heap order for std::push_heap/pop_heap: `a` sorts after `b`, so the
+  /// heap's front is the entry with the smallest (key, frame).
+  static bool VictimAfter(const VictimEntry& a, const VictimEntry& b);
+
   Shard& ShardFor(PageId pid) {
     // Pages ids are sequential; spread neighbors across shards.
     return shards_[(pid * 0x9e3779b1u >> 16) & (kNumShards - 1)];
@@ -485,15 +513,25 @@ class BufferPool {
   /// victim's write-back (see ReclaimFrame).
   Status AllocateFrame(std::unique_lock<std::mutex>& lk, uint32_t* frame_out);
   /// Takes/evicts `k` frames at once — free frames first, then the k
-  /// oldest unpinned victims scanned oldest-first (the same victims, same
-  /// write-back order, as k AllocateFrame calls). A dirty reclaim drops
-  /// evict_mu_ around the device write, after which the LRU scan is redone
-  /// (stamps are stable single-threaded, so the victim sequence is
-  /// bit-identical to the fully-latched path; under concurrency a fresh
-  /// scan never acts on stale candidates). On failure nothing is
-  /// allocated.
+  /// oldest unpinned victims, each popped off the victim heap (the same
+  /// victims, same write-back order, as k AllocateFrame calls). A dirty
+  /// reclaim drops evict_mu_ around the device write, after which the free
+  /// list is rechecked before the next pop; every pop re-reads the frame's
+  /// pin count and stamp, so it never acts on a stale candidate. On
+  /// failure nothing is allocated.
   Status AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
                         std::vector<uint32_t>* frames_out);
+  /// Under evict_mu_: starts a new tenancy of free frame `frame` for page
+  /// `pid` — pinned once, in use, `dirty` as given — and pushes its victim
+  /// heap entry. Every path that makes a frame in use goes through here.
+  Frame& AdmitFrameLocked(uint32_t frame, PageId pid, bool dirty);
+  /// Under evict_mu_: pops the entry of the unpinned in-use frame with the
+  /// smallest stamp off the victim heap (the entry stays out; a caller
+  /// that leaves the frame in use pushes it back), or returns false when
+  /// every in-use frame is pinned.
+  bool PopVictimLocked(VictimEntry* out);
+  /// Under evict_mu_: files `e` in the victim heap.
+  void PushVictimLocked(const VictimEntry& e);
   /// Claims + unmaps one evictable frame, writing it back if dirty. `lk`
   /// holds evict_mu_ on entry and exit; a dirty write-back releases it
   /// around the device write — the kEvicting claim keeps the frame
@@ -575,6 +613,19 @@ class BufferPool {
   /// must run before the next transaction, or its redo could roll back
   /// pages a later commit also touched. Cleared by DropAllFrames.
   std::atomic<bool> needs_recovery_{false};
+
+  // LRU victim heap state, all guarded by evict_mu_. It sits after every
+  // member the hit path touches, so it shifts none of their offsets (nor
+  // the cache lines the shard latches and hot counters share): 4-thread
+  // hit workloads are sensitive to that layout.
+  /// Min-heap on (key, frame). Holds one live entry per in-use frame plus
+  /// stale ones, at most 2 * capacity_ in all.
+  std::vector<VictimEntry> victims_;
+  /// Pinned entries set aside during one PopVictimLocked.
+  std::vector<VictimEntry> victims_aside_;
+  /// Tenancy count per frame, bumped by AdmitFrameLocked. Kept beside
+  /// frames_, not in Frame, so the hit path's frame layout is unchanged.
+  std::vector<uint32_t> tenancy_;
   // Declared last: destroyed (joined) first, so no worker touches a frame
   // after the pool starts tearing down.
   std::unique_ptr<ThreadPool> prefetch_workers_;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -115,6 +116,82 @@ struct RawConn {
     }
   }
 };
+
+/// Minimal JSON well-formedness check (objects, arrays, strings without
+/// escapes beyond \", numbers, true/false/null): advances `*at` past one
+/// value and returns false on any syntax error.
+bool SkipJsonValue(const std::string& js, size_t* at) {
+  auto ws = [&] {
+    while (*at < js.size() &&
+           std::isspace(static_cast<unsigned char>(js[*at]))) {
+      ++*at;
+    }
+  };
+  auto skip_string = [&] {
+    if (*at >= js.size() || js[*at] != '"') return false;
+    for (++*at; *at < js.size(); ++*at) {
+      if (js[*at] == '\\') {
+        ++*at;
+      } else if (js[*at] == '"') {
+        ++*at;
+        return true;
+      }
+    }
+    return false;
+  };
+  ws();
+  if (*at >= js.size()) return false;
+  const char c = js[*at];
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    ++*at;
+    ws();
+    if (*at < js.size() && js[*at] == close) {
+      ++*at;
+      return true;
+    }
+    for (;;) {
+      if (c == '{') {
+        ws();
+        if (!skip_string()) return false;
+        ws();
+        if (*at >= js.size() || js[*at] != ':') return false;
+        ++*at;
+      }
+      if (!SkipJsonValue(js, at)) return false;
+      ws();
+      if (*at >= js.size()) return false;
+      if (js[*at] == close) {
+        ++*at;
+        return true;
+      }
+      if (js[*at] != ',') return false;
+      ++*at;
+    }
+  }
+  if (c == '"') return skip_string();
+  for (const char* word : {"true", "false", "null"}) {
+    if (js.compare(*at, std::strlen(word), word) == 0) {
+      *at += std::strlen(word);
+      return true;
+    }
+  }
+  const size_t start = *at;
+  while (*at < js.size() &&
+         std::strchr("+-.eE0123456789", js[*at]) != nullptr) {
+    ++*at;
+  }
+  return *at > start;
+}
+
+bool IsJson(const std::string& js) {
+  size_t at = 0;
+  if (!SkipJsonValue(js, &at)) return false;
+  while (at < js.size() && std::isspace(static_cast<unsigned char>(js[at]))) {
+    ++at;
+  }
+  return at == js.size();
+}
 
 TEST(NetServerTest, RetrieveOverTheWireMatchesEmbeddedExecution) {
   ServerFixture fix;
@@ -330,6 +407,24 @@ TEST(NetServerTest, PingAndStatsBypassAdmissionControl) {
   ASSERT_TRUE(client.Stats(&stats).ok());
   EXPECT_NE(stats.find("\"busy_rejected\""), std::string::npos);
   EXPECT_NE(stats.find("\"num_parents\":400"), std::string::npos);
+  EXPECT_TRUE(IsJson(stats)) << stats;
+}
+
+TEST(NetServerTest, StatsWithHeatDisabledReportsAnEmptyDisabledHeatMap) {
+  ServerConfig config;
+  config.enable_heat = false;
+  ServerFixture fix(config);
+  ObjClient client = fix.Connect();
+  std::vector<int32_t> values;
+  ASSERT_TRUE(client.Retrieve(3, 10, 0, &values).ok());
+  std::string stats;
+  ASSERT_TRUE(client.Stats(&stats).ok());
+  EXPECT_TRUE(IsJson(stats)) << stats;
+  const size_t heat_at = stats.find("\"heat\":{");
+  ASSERT_NE(heat_at, std::string::npos) << stats;
+  const std::string disabled = "\"heat\":{\"enabled\":false,\"touches\":0,";
+  EXPECT_EQ(stats.compare(heat_at, disabled.size(), disabled), 0)
+      << stats.substr(heat_at, 80);
 }
 
 TEST(NetServerTest, ShutdownVerbDrainsAndExitsCleanly) {
